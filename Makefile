@@ -43,8 +43,10 @@
 #   make zoo-demo      - protocol-zoo gate: run the committed cross-protocol
 #                        suite (examples/scenario_zoo_compare.json) and assert
 #                        it regenerates tests/golden/zoo_compare_table.txt
-#                        byte-for-byte, then regenerate the E2 paper golden to
-#                        prove the protocol-registry refactor is inert
+#                        byte-for-byte, then regenerate the E2 paper golden
+#                        and the one-cell-per-protocol registry golden
+#                        (tests/golden/registry_mini_metrics.txt) to prove
+#                        the protocol-registry refactors are inert
 #                        (sub-minute; a prerequisite of `make test`)
 #   make hub-chaos-demo - hub high-availability gate: hub serve --state + 2
 #                        workers + 2 concurrent clients, SIGKILL the *hub*

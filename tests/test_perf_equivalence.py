@@ -17,6 +17,7 @@ from repro.core.parameters import CongestParameters, LocalParameters
 from repro.experiments import (
     e2_congest_theorem2,
     e3_benign,
+    e7_baselines,
     e9_adversary_grid,
     e12_scaling,
 )
@@ -42,6 +43,10 @@ class TestGoldenTables:
     def test_e3_table_byte_identical(self):
         result = e3_benign.run_experiment(sizes=(64, 128), trials=1, seed=0)
         assert result.render() + "\n" == (GOLDEN / "e3_small_table.txt").read_text()
+
+    def test_e7_table_byte_identical(self):
+        result = e7_baselines.run_experiment(n=64, byzantine_counts=(0, 1, 4), seed=0)
+        assert result.render() + "\n" == (GOLDEN / "e7_small_table.txt").read_text()
 
     def test_e9_table_byte_identical(self):
         result = e9_adversary_grid.run_experiment(

@@ -29,32 +29,15 @@ from repro.protocols import (
 from repro.runner.distributed import DistributedBackend
 from repro.runner.sweep import SweepRunner
 from repro.scenarios import PROTOCOLS, Scenario, materialize
+from repro.tools.zoo_demo import (
+    MINI_PARAMS,
+    REGISTRY_GOLDEN,
+    mini_scenario,
+    render_registry_metrics,
+)
 
 EXAMPLES = Path(__file__).parent.parent / "examples"
 GOLDEN = Path(__file__).parent / "golden"
-
-#: Mini-scenario protocol params per registered protocol (n=16, degree 4).
-MINI_PARAMS = {
-    "local": {"gamma": 0.7, "max_degree": 4},
-    "congest": {"gamma": 0.5, "d": 4, "max_rounds": 150},
-    "benor": {"f": 1, "max_phases": 30},
-    "grouped-bft": {"f": 1, "groups": 1},
-    "flooding": {},
-    "geometric": {},
-    "spanning-tree": {},
-    "support-estimation": {},
-}
-
-
-def mini_scenario(protocol, params, *, n=16, count=0, behaviour="silent"):
-    return {
-        "name": f"mini-{protocol}",
-        "graph": {"name": "hnd", "params": {"n": n, "degree": 4}, "seed_offset": 0},
-        "adversary": {"name": behaviour, "params": {}, "seed_offset": 0},
-        "placement": {"name": "spread", "params": {"count": count}, "seed_offset": 0},
-        "protocol": {"name": protocol, "params": dict(params), "seed_offset": 0},
-        "params": {},
-    }
 
 
 class TestGrouping:
@@ -217,3 +200,11 @@ class TestZooGolden:
         out = capsys.readouterr().out
         golden = (GOLDEN / "zoo_compare_table.txt").read_text(encoding="utf-8")
         assert out == golden
+
+
+class TestRegistryGolden:
+    def test_every_protocol_regenerates_its_pinned_metrics(self):
+        """One mini cell per registered protocol reproduces its full metrics
+        dict byte for byte (the pin of each protocol's run path)."""
+        golden = (GOLDEN / REGISTRY_GOLDEN).read_text(encoding="utf-8")
+        assert render_registry_metrics() == golden
