@@ -22,10 +22,10 @@ from __future__ import annotations
 
 import math
 
-from repro import CongestParameters, hnd_random_regular_graph, run_congest_counting
-from repro.adversary import BeaconFloodAdversary, ValueFakingAdversary, random_placement
+from repro import CongestParameters, hnd_random_regular_graph
+from repro.adversary import random_placement
 from repro.analysis.tables import render_table
-from repro.baselines import run_geometric_baseline, run_spanning_tree_baseline
+from repro.scenarios import run_protocol
 
 
 def main() -> None:
@@ -34,39 +34,46 @@ def main() -> None:
     log_n = math.log(n)
     rows = []
 
+    def run(protocol, byzantine, behaviour, **params):
+        return run_protocol(
+            protocol,
+            graph,
+            byzantine=byzantine,
+            behaviour=behaviour,
+            behaviour_params={},
+            seed=seed,
+            **params,
+        )
+
     # Phase 1: all peers honest.
-    geo = run_geometric_baseline(graph, seed=seed)
-    tree = run_spanning_tree_baseline(graph, seed=seed)
-    params = CongestParameters(d=degree)
-    alg2 = run_congest_counting(graph, params=params, seed=seed)
+    geo = run("geometric", set(), "silent")
+    tree = run("spanning-tree", set(), "silent")
+    alg2 = run("congest", set(), "silent", d=degree)
     rows.append({
         "scenario": "honest overlay",
-        "geometric est.": round(geo.median_estimate() or float("nan"), 2),
-        "spanning-tree est.": round(tree.median_estimate() or float("nan"), 2),
+        "geometric est.": round(geo.outcome.median_estimate() or float("nan"), 2),
+        "spanning-tree est.": round(tree.outcome.median_estimate() or float("nan"), 2),
         "algorithm 2 est.": alg2.outcome.median_estimate(),
         "true ln n": round(log_n, 2),
     })
 
     # Phase 2: a small botnet joins (3 Byzantine peers).
     byzantine = random_placement(graph, 3, seed=seed + 1)
-    geo_attacked = run_geometric_baseline(
-        graph, byzantine=byzantine, adversary=ValueFakingAdversary(), seed=seed
-    )
-    tree_attacked = run_spanning_tree_baseline(
-        graph, byzantine=byzantine, adversary=ValueFakingAdversary(), seed=seed
-    )
-    alg2_attacked = run_congest_counting(
-        graph,
-        byzantine=byzantine,
-        adversary=BeaconFloodAdversary(params),
-        params=params,
-        seed=seed,
-        max_rounds=params.rounds_through_phase(int(math.ceil(log_n)) + 1),
+    geo_attacked = run("geometric", byzantine, "value-faking")
+    tree_attacked = run("spanning-tree", byzantine, "value-faking")
+    alg2_attacked = run(
+        "congest",
+        byzantine,
+        "beacon-flood",
+        d=degree,
+        max_rounds=CongestParameters(d=degree).rounds_through_phase(
+            int(math.ceil(log_n)) + 1
+        ),
     )
     rows.append({
         "scenario": "3 Byzantine peers",
-        "geometric est.": round(geo_attacked.median_estimate() or float("nan"), 2),
-        "spanning-tree est.": round(tree_attacked.median_estimate() or float("nan"), 2),
+        "geometric est.": round(geo_attacked.outcome.median_estimate() or float("nan"), 2),
+        "spanning-tree est.": round(tree_attacked.outcome.median_estimate() or float("nan"), 2),
         "algorithm 2 est.": alg2_attacked.outcome.median_estimate(),
         "true ln n": round(log_n, 2),
     })

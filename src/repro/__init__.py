@@ -24,12 +24,10 @@ experiment harness that regenerates every quantitative claim of the paper.
 
 from repro.core import (
     CongestCountingProtocol,
-    CongestCountingRun,
     CongestParameters,
     CountingOutcome,
     DecisionRecord,
     LocalCountingProtocol,
-    LocalCountingRun,
     LocalParameters,
     PhaseSchedule,
     byzantine_budget,
@@ -72,10 +70,8 @@ __all__ = [
     "DecisionRecord",
     "CountingOutcome",
     "LocalCountingProtocol",
-    "LocalCountingRun",
     "run_local_counting",
     "CongestCountingProtocol",
-    "CongestCountingRun",
     "PhaseSchedule",
     "run_congest_counting",
     # graphs

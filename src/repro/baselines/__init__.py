@@ -16,27 +16,23 @@ size estimators all collapse as soon as a single Byzantine node is present:
   nodes estimate ``log n`` from the flood's arrival times (≈ diameter for an
   expander); a Byzantine node can replay or fabricate tokens and hop counts.
 
-Experiment E7 runs each of them with zero, one, and ``√n`` Byzantine nodes to
-regenerate the motivating claim.
+Each runs as a registered protocol (``geometric``, ``support-estimation``,
+``spanning-tree``, ``flooding``; see :mod:`repro.scenarios.protocols`).
+Experiment E7 runs each of them with zero, one, and several Byzantine nodes
+to regenerate the motivating claim, reading the runs through
+:meth:`BaselineOutcome.of`.
 """
 
-from repro.baselines.geometric import GeometricMaxProtocol, run_geometric_baseline
-from repro.baselines.support_estimation import (
-    SupportEstimationProtocol,
-    run_support_estimation_baseline,
-)
-from repro.baselines.spanning_tree import SpanningTreeProtocol, run_spanning_tree_baseline
-from repro.baselines.flooding import FloodingDiameterProtocol, run_flooding_baseline
+from repro.baselines.geometric import GeometricMaxProtocol
+from repro.baselines.support_estimation import SupportEstimationProtocol
+from repro.baselines.spanning_tree import SpanningTreeProtocol
+from repro.baselines.flooding import FloodingDiameterProtocol
 from repro.baselines.common import BaselineOutcome
 
 __all__ = [
     "BaselineOutcome",
     "GeometricMaxProtocol",
-    "run_geometric_baseline",
     "SupportEstimationProtocol",
-    "run_support_estimation_baseline",
     "SpanningTreeProtocol",
-    "run_spanning_tree_baseline",
     "FloodingDiameterProtocol",
-    "run_flooding_baseline",
 ]

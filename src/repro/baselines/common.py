@@ -1,15 +1,16 @@
-"""Shared result type and helpers for the baseline estimators."""
+"""Shared result view and message helpers for the baseline estimators."""
 
 from __future__ import annotations
 
 import math
 import statistics
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional
+from dataclasses import dataclass
+from typing import Dict, Optional
+
+from repro.core.estimate import CountingOutcome
+from repro.simulator.messages import Message
 
 __all__ = ["BaselineOutcome", "value_payload", "parse_value"]
-
-from repro.simulator.messages import Message
 
 
 def value_payload(kind_tag: str, value: float) -> Message:
@@ -96,6 +97,21 @@ class BaselineOutcome:
             if e is not None and math.isfinite(e) and low <= e <= high
         )
         return ok / len(self.estimates)
+
+    @classmethod
+    def of(cls, name: str, outcome: CountingOutcome) -> "BaselineOutcome":
+        """The finite-estimate view of a run's :class:`CountingOutcome`.
+
+        Unlike the outcome's own statistics, an infinite estimate (support
+        estimation under deflation) counts as no estimate at all.
+        """
+        return cls(
+            name=name,
+            n=outcome.n,
+            estimates={u: record.estimate for u, record in outcome.records.items()},
+            rounds_executed=outcome.rounds_executed,
+            total_messages=outcome.total_messages,
+        )
 
     def summary(self) -> Dict[str, object]:
         """Row for the experiment tables."""

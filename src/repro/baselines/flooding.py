@@ -17,18 +17,12 @@ fake hop counts arbitrarily; this implementation exposes both failure modes.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, Iterable, List, Optional
+from typing import List, Optional
 
-from repro.baselines.common import BaselineOutcome
-from repro.graphs.graph import Graph
-from repro.simulator.byzantine import Adversary
-from repro.simulator.engine import SynchronousEngine
 from repro.simulator.messages import Message
-from repro.simulator.network import Network
 from repro.simulator.node import NodeContext, Outbox, Protocol
 
-__all__ = ["FloodingDiameterProtocol", "run_flooding_baseline"]
+__all__ = ["FloodingDiameterProtocol"]
 
 _LEADER = "flood-leader"
 _ECC = "flood-ecc"
@@ -135,37 +129,3 @@ class FloodingDiameterProtocol(Protocol):
             self._decision_round = round_number
             self._estimate = self.max_ecc if self.max_ecc > 0 else None
         return {}
-
-
-def run_flooding_baseline(
-    graph: Graph,
-    *,
-    byzantine: Iterable[int] = (),
-    adversary: Optional[Adversary] = None,
-    seed: int = 0,
-    phase_rounds: Optional[int] = None,
-) -> BaselineOutcome:
-    """Run the flooding baseline; estimates are the learned leader eccentricity."""
-    network = Network(graph=graph, byzantine=frozenset(byzantine))
-    if phase_rounds is None:
-        phase_rounds = 2 * int(math.ceil(math.log2(max(graph.n, 2)))) + 6
-
-    def factory(ctx: NodeContext) -> Protocol:
-        return FloodingDiameterProtocol(ctx, phase_rounds, phase_rounds)
-
-    engine = SynchronousEngine(
-        network,
-        factory,
-        adversary=adversary,
-        seed=seed,
-        max_rounds=2 * phase_rounds + 4,
-    )
-    result = engine.run()
-    estimates = {u: p.estimate for u, p in result.protocols.items()}
-    return BaselineOutcome(
-        name="flooding-diameter",
-        n=graph.n,
-        estimates=estimates,
-        rounds_executed=result.rounds_executed,
-        total_messages=result.metrics.total_messages,
-    )

@@ -12,17 +12,12 @@ motivating observation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Set
+from typing import List, Optional
 
-from repro.baselines.common import BaselineOutcome, parse_value, value_payload
-from repro.graphs.graph import Graph
-from repro.simulator.byzantine import Adversary
-from repro.simulator.engine import SynchronousEngine
-from repro.simulator.network import Network
+from repro.baselines.common import parse_value, value_payload
 from repro.simulator.node import NodeContext, Outbox, Protocol
 
-__all__ = ["GeometricMaxProtocol", "run_geometric_baseline"]
+__all__ = ["GeometricMaxProtocol"]
 
 _TAG = "geometric-max"
 
@@ -79,38 +74,3 @@ class GeometricMaxProtocol(Protocol):
             message = value_payload(_TAG, self.best)
             return {v: [message] for v in ctx.neighbors}
         return {}
-
-
-def run_geometric_baseline(
-    graph: Graph,
-    *,
-    byzantine: Iterable[int] = (),
-    adversary: Optional[Adversary] = None,
-    seed: int = 0,
-    rounds_budget: Optional[int] = None,
-) -> BaselineOutcome:
-    """Run the geometric-maximum baseline and collect per-node estimates.
-
-    ``rounds_budget`` defaults to ``2·ceil(log2 n) + 6``, enough for the
-    maximum to flood any expander; it is information the real counting
-    protocols cannot assume, which is part of why they are harder to build.
-    """
-    network = Network(graph=graph, byzantine=frozenset(byzantine))
-    if rounds_budget is None:
-        rounds_budget = 2 * int(math.ceil(math.log2(max(graph.n, 2)))) + 6
-
-    def factory(ctx: NodeContext) -> Protocol:
-        return GeometricMaxProtocol(ctx, rounds_budget)
-
-    engine = SynchronousEngine(
-        network, factory, adversary=adversary, seed=seed, max_rounds=rounds_budget + 2
-    )
-    result = engine.run()
-    estimates = {u: p.estimate for u, p in result.protocols.items()}
-    return BaselineOutcome(
-        name="geometric-max",
-        n=graph.n,
-        estimates=estimates,
-        rounds_executed=result.rounds_executed,
-        total_messages=result.metrics.total_messages,
-    )

@@ -21,17 +21,12 @@ the paper's motivating observation.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, List, Optional
 
-from repro.baselines.common import BaselineOutcome
-from repro.graphs.graph import Graph
-from repro.simulator.byzantine import Adversary
-from repro.simulator.engine import SynchronousEngine
 from repro.simulator.messages import Message
-from repro.simulator.network import Network
 from repro.simulator.node import NodeContext, Outbox, Protocol
 
-__all__ = ["SpanningTreeProtocol", "run_spanning_tree_baseline"]
+__all__ = ["SpanningTreeProtocol"]
 
 _BUILD = "st-build"
 _COUNT = "st-count"
@@ -176,37 +171,3 @@ class SpanningTreeProtocol(Protocol):
             message = _message(_RESULT, self._result)
             return {v: [message] for v in ctx.neighbors}
         return {}
-
-
-def run_spanning_tree_baseline(
-    graph: Graph,
-    *,
-    byzantine: Iterable[int] = (),
-    adversary: Optional[Adversary] = None,
-    seed: int = 0,
-    phase_rounds: Optional[int] = None,
-) -> BaselineOutcome:
-    """Run the spanning-tree baseline and collect per-node estimates of ``ln n``."""
-    network = Network(graph=graph, byzantine=frozenset(byzantine))
-    if phase_rounds is None:
-        phase_rounds = 2 * int(math.ceil(math.log2(max(graph.n, 2)))) + 6
-
-    def factory(ctx: NodeContext) -> Protocol:
-        return SpanningTreeProtocol(ctx, phase_rounds, phase_rounds, phase_rounds)
-
-    engine = SynchronousEngine(
-        network,
-        factory,
-        adversary=adversary,
-        seed=seed,
-        max_rounds=3 * phase_rounds + 4,
-    )
-    result = engine.run()
-    estimates = {u: p.estimate for u, p in result.protocols.items()}
-    return BaselineOutcome(
-        name="spanning-tree",
-        n=graph.n,
-        estimates=estimates,
-        rounds_executed=result.rounds_executed,
-        total_messages=result.metrics.total_messages,
-    )

@@ -11,17 +11,12 @@ infinity.
 from __future__ import annotations
 
 import math
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from repro.baselines.common import BaselineOutcome
-from repro.graphs.graph import Graph
-from repro.simulator.byzantine import Adversary
-from repro.simulator.engine import SynchronousEngine
 from repro.simulator.messages import Message
-from repro.simulator.network import Network
 from repro.simulator.node import NodeContext, Outbox, Protocol
 
-__all__ = ["SupportEstimationProtocol", "run_support_estimation_baseline"]
+__all__ = ["SupportEstimationProtocol"]
 
 _TAG = "support-min"
 
@@ -106,34 +101,3 @@ class SupportEstimationProtocol(Protocol):
             message = _make_message(self.minima)
             return {v: [message] for v in ctx.neighbors}
         return {}
-
-
-def run_support_estimation_baseline(
-    graph: Graph,
-    *,
-    byzantine: Iterable[int] = (),
-    adversary: Optional[Adversary] = None,
-    seed: int = 0,
-    rounds_budget: Optional[int] = None,
-    k: int = 16,
-) -> BaselineOutcome:
-    """Run the support-estimation baseline and collect per-node estimates of ``ln n``."""
-    network = Network(graph=graph, byzantine=frozenset(byzantine))
-    if rounds_budget is None:
-        rounds_budget = 2 * int(math.ceil(math.log2(max(graph.n, 2)))) + 6
-
-    def factory(ctx: NodeContext) -> Protocol:
-        return SupportEstimationProtocol(ctx, rounds_budget, k)
-
-    engine = SynchronousEngine(
-        network, factory, adversary=adversary, seed=seed, max_rounds=rounds_budget + 2
-    )
-    result = engine.run()
-    estimates = {u: p.estimate for u, p in result.protocols.items()}
-    return BaselineOutcome(
-        name="support-estimation",
-        n=graph.n,
-        estimates=estimates,
-        rounds_executed=result.rounds_executed,
-        total_messages=result.metrics.total_messages,
-    )

@@ -758,13 +758,11 @@ def _command_scenario_list(args: argparse.Namespace) -> int:
             row = {"name": entry.name, "description": entry.description}
             if "targets" in entry.tags:
                 row["targets"] = ", ".join(entry.tags["targets"])
-            surface = entry.tags.get("params")
-            if surface is not None:
-                # Declared parameter surface (protocol zoo): required params
-                # plain, optional params with a trailing "?".
-                required = [str(p) for p in surface.get("required", ())]
-                optional = [f"{p}?" for p in surface.get("optional", ())]
-                row["params"] = ", ".join(required + optional) or "-"
+            if axis == "protocol":
+                # The spec's parameter surface: required params plain,
+                # optional params with a trailing "?".
+                required, optional = entry.fn.surface()
+                row["params"] = ", ".join([*required, *(f"{p}?" for p in optional)]) or "-"
             rows.append(row)
         print(render_table(rows, title=f"{axis} registry ({registry.kind})"))
         print()

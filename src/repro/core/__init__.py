@@ -15,12 +15,10 @@ from repro.core.parameters import LocalParameters, CongestParameters, byzantine_
 from repro.core.estimate import DecisionRecord, CountingOutcome, approximation_band
 from repro.core.local_counting import (
     LocalCountingProtocol,
-    LocalCountingRun,
     run_local_counting,
 )
 from repro.core.congest_counting import (
     CongestCountingProtocol,
-    CongestCountingRun,
     PhaseSchedule,
     run_congest_counting,
 )
@@ -34,10 +32,8 @@ __all__ = [
     "CountingOutcome",
     "approximation_band",
     "LocalCountingProtocol",
-    "LocalCountingRun",
     "run_local_counting",
     "CongestCountingProtocol",
-    "CongestCountingRun",
     "PhaseSchedule",
     "run_congest_counting",
     "BeaconPayload",

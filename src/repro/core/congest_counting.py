@@ -42,9 +42,8 @@ Implementation notes
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import TYPE_CHECKING, Iterable, List, Optional, Set, Tuple
 
 from repro.simulator.byzantine import Adversary
 from repro.core.beacon import (
@@ -57,20 +56,19 @@ from repro.core.beacon import (
     parse_beacon,
 )
 from repro.core.blacklist import PhaseBlacklist, split_trusted_suffix
-from repro.core.estimate import CountingOutcome, DecisionRecord
 from repro.core.parameters import CongestParameters
 from repro.graphs.graph import Graph
 from repro.simulator.churn import ChurnSchedule
-from repro.simulator.engine import RunResult, SynchronousEngine
 from repro.simulator.messages import Message
-from repro.simulator.network import Network
 from repro.simulator.node import Broadcast, NodeContext, Outbox, Protocol
+
+if TYPE_CHECKING:
+    from repro.scenarios.execute import ProtocolRun
 
 __all__ = [
     "PhaseSchedule",
     "SchedulePosition",
     "CongestCountingProtocol",
-    "CongestCountingRun",
     "run_congest_counting",
 ]
 
@@ -396,16 +394,6 @@ class CongestCountingProtocol(Protocol):
         return outbox
 
 
-@dataclass
-class CongestCountingRun:
-    """Result wrapper of one Algorithm 2 execution."""
-
-    result: RunResult
-    params: CongestParameters
-    outcome: CountingOutcome
-    schedule: PhaseSchedule
-
-
 def run_congest_counting(
     graph: Graph,
     *,
@@ -417,8 +405,11 @@ def run_congest_counting(
     stop_when_all_decided: bool = True,
     evaluation_set: Optional[Set[int]] = None,
     churn: Optional[ChurnSchedule] = None,
-) -> CongestCountingRun:
+) -> "ProtocolRun":
     """Execute Algorithm 2 on ``graph`` and summarize the outcome.
+
+    The registered ``congest`` protocol run through
+    :func:`repro.scenarios.execute.run_spec` with a ready adversary object.
 
     Parameters
     ----------
@@ -449,68 +440,19 @@ def run_congest_counting(
         assumes a static graph, so churn measures its degradation: runs with
         departures or cut phases may exhaust ``max_rounds`` undecided.
     """
-    if params is None:
-        params = CongestParameters(d=max(3, graph.max_degree()))
-    network = Network(graph=graph, byzantine=frozenset(byzantine))
-    if max_rounds is None:
-        max_rounds = params.round_budget(graph.n)
-    schedule = PhaseSchedule(params)
+    # Imported at call time: repro.scenarios itself builds on repro.core.
+    from repro.scenarios.execute import run_spec
+    from repro.scenarios.protocols import CONGEST
 
-    def factory(ctx: NodeContext) -> Protocol:
-        return CongestCountingProtocol(ctx, params, schedule)
-
-    engine = SynchronousEngine(
-        network,
-        factory,
+    return run_spec(
+        CONGEST,
+        graph,
+        params,
+        byzantine=byzantine,
         adversary=adversary,
         seed=seed,
         max_rounds=max_rounds,
+        stop_when_all_decided=stop_when_all_decided,
+        evaluation_set=evaluation_set,
         churn=churn,
     )
-
-    # Both stop conditions read the engine's incrementally maintained
-    # decision counter instead of scanning every protocol's ``decided`` flag
-    # each round (decisions are irrevocable, so the counter is exact).
-    num_honest = len(engine.protocols)
-    if stop_when_all_decided:
-        def stop_condition(protocols: Dict[int, Protocol], _round: int) -> bool:
-            return engine.decided_count == num_honest
-    else:
-        # Corollary 1 mode: stop only when everyone has decided, exited the
-        # for-loop, and the network has gone quiescent (no messages at all in
-        # the previous round).  The participation scan only runs once all
-        # decisions are in.
-        def stop_condition(protocols: Dict[int, Protocol], _round: int) -> bool:
-            if engine.decided_count < num_honest:
-                return False
-            all_done = all(not p.participating for p in protocols.values())
-            last_round_messages = (
-                engine.metrics.messages_per_round[-1]
-                if engine.metrics.messages_per_round
-                else 1
-            )
-            return all_done and last_round_messages == 0
-
-    engine.stop_condition = stop_condition
-    result = engine.run()
-
-    records: Dict[int, DecisionRecord] = {}
-    for u, protocol in result.protocols.items():
-        records[u] = DecisionRecord(
-            node=u,
-            decided=protocol.decided,
-            estimate=protocol.estimate,
-            decision_round=protocol.decision_round,
-        )
-    outcome = CountingOutcome(
-        n=graph.n,
-        records=records,
-        evaluation_set=set(evaluation_set) if evaluation_set is not None else set(),
-        rounds_executed=result.rounds_executed,
-        total_messages=result.metrics.total_messages,
-        total_bits=result.metrics.total_bits,
-        small_message_fraction=result.metrics.small_message_fraction(
-            graph.n, list(result.protocols.keys())
-        ),
-    )
-    return CongestCountingRun(result=result, params=params, outcome=outcome, schedule=schedule)

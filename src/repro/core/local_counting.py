@@ -56,24 +56,22 @@ from __future__ import annotations
 import itertools
 import math
 from collections import deque
-from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, KeysView, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, FrozenSet, Iterable, KeysView, List, Optional, Sequence, Set, Tuple
 
-from repro.core.estimate import CountingOutcome, DecisionRecord
 from repro.core.parameters import LocalParameters
 from repro.simulator.byzantine import Adversary
 from repro.simulator.churn import ChurnSchedule
 from repro.graphs.graph import Graph
-from repro.simulator.engine import RunResult, SynchronousEngine
 from repro.simulator.messages import Message
-from repro.simulator.network import Network
 from repro.simulator.node import Broadcast, NodeContext, Outbox, Protocol
+
+if TYPE_CHECKING:
+    from repro.scenarios.execute import ProtocolRun
 
 __all__ = [
     "LocalView",
     "ClaimInterner",
     "LocalCountingProtocol",
-    "LocalCountingRun",
     "run_local_counting",
 ]
 
@@ -1168,15 +1166,6 @@ class LocalCountingProtocol(Protocol):
             self._queue_delta([record.entry], [])
 
 
-@dataclass
-class LocalCountingRun:
-    """Result wrapper of one Algorithm 1 execution."""
-
-    result: RunResult
-    params: LocalParameters
-    outcome: CountingOutcome
-
-
 def run_local_counting(
     graph: Graph,
     *,
@@ -1187,8 +1176,11 @@ def run_local_counting(
     max_rounds: Optional[int] = None,
     evaluation_set: Optional[Set[int]] = None,
     churn: Optional[ChurnSchedule] = None,
-) -> LocalCountingRun:
+) -> "ProtocolRun":
     """Execute Algorithm 1 on ``graph`` and summarize the outcome.
+
+    The registered ``local`` protocol run through
+    :func:`repro.scenarios.execute.run_spec` with a ready adversary object.
 
     Parameters
     ----------
@@ -1215,48 +1207,18 @@ def run_local_counting(
         mode (claim updates, churn-aware mute check); ``None`` takes the
         exact static code paths.
     """
-    if params is None:
-        params = LocalParameters(max_degree=max(2, graph.max_degree()))
-    network = Network(graph=graph, byzantine=frozenset(byzantine))
-    if max_rounds is None:
-        max_rounds = 6 * int(math.ceil(math.log2(max(graph.n, 2)))) + 20
+    # Imported at call time: repro.scenarios itself builds on repro.core.
+    from repro.scenarios.execute import run_spec
+    from repro.scenarios.protocols import LOCAL
 
-    # One claim interner per run: every view shares the hash-consed claim
-    # records, so a claim is parsed once per run instead of once per
-    # (receiver, arrival).
-    interner = ClaimInterner()
-    dynamic = churn is not None and bool(churn)
-
-    def factory(ctx: NodeContext) -> Protocol:
-        return LocalCountingProtocol(ctx, params, interner=interner, dynamic=dynamic)
-
-    engine = SynchronousEngine(
-        network,
-        factory,
+    return run_spec(
+        LOCAL,
+        graph,
+        params,
+        byzantine=byzantine,
         adversary=adversary,
         seed=seed,
         max_rounds=max_rounds,
-        churn=churn if dynamic else None,
+        evaluation_set=evaluation_set,
+        churn=churn,
     )
-    result = engine.run()
-
-    records: Dict[int, DecisionRecord] = {}
-    for u, protocol in result.protocols.items():
-        records[u] = DecisionRecord(
-            node=u,
-            decided=protocol.decided,
-            estimate=protocol.estimate,
-            decision_round=protocol.decision_round,
-        )
-    outcome = CountingOutcome(
-        n=graph.n,
-        records=records,
-        evaluation_set=set(evaluation_set) if evaluation_set is not None else set(),
-        rounds_executed=result.rounds_executed,
-        total_messages=result.metrics.total_messages,
-        total_bits=result.metrics.total_bits,
-        small_message_fraction=result.metrics.small_message_fraction(
-            graph.n, list(result.protocols.keys())
-        ),
-    )
-    return LocalCountingRun(result=result, params=params, outcome=outcome)

@@ -10,42 +10,43 @@ algorithms keep theirs.
 from __future__ import annotations
 
 import math
-from typing import List, Callable, Dict, Optional, Sequence
+from typing import List, Dict, Sequence
 
 from repro.adversary.placement import random_placement
-from repro.adversary.strategies import BeaconFloodAdversary, ValueFakingAdversary
-from repro.baselines import (
-    run_flooding_baseline,
-    run_geometric_baseline,
-    run_spanning_tree_baseline,
-    run_support_estimation_baseline,
-)
-from repro.core.congest_counting import run_congest_counting
+from repro.baselines import BaselineOutcome
 from repro.core.parameters import CongestParameters
 from repro.experiments.common import ExperimentResult, run_configs
 from repro.graphs.hnd import hnd_random_regular_graph
 from repro.runner import SweepConfig, sweep_task
+from repro.scenarios import run_protocol
 
 __all__ = ["run_experiment", "sweep_configs"]
 
-#: baseline name -> (runner, the ValueFakingAdversary mode that breaks it)
+#: table name -> (registered protocol, the value-faking mode that breaks it)
 _BASELINES: Dict[str, tuple] = {
-    "geometric-max": (run_geometric_baseline, "inflate"),
-    "support-estimation": (run_support_estimation_baseline, "deflate"),
-    "spanning-tree": (run_spanning_tree_baseline, "inflate"),
-    "flooding-diameter": (run_flooding_baseline, "inflate"),
+    "geometric-max": ("geometric", "inflate"),
+    "support-estimation": ("support-estimation", "deflate"),
+    "spanning-tree": ("spanning-tree", "inflate"),
+    "flooding-diameter": ("flooding", "inflate"),
 }
 
 
 @sweep_task("e7.baseline")
 def _baseline_cell(*, name: str, n: int, degree: int, num_byz: int, seed: int) -> dict:
     """One (baseline, Byzantine count) cell attacked with its breaking mode."""
-    baseline_runner, attack_mode = _BASELINES[name]
+    protocol, attack_mode = _BASELINES[name]
     graph = hnd_random_regular_graph(n, degree, seed=seed)
     log_n = math.log(n)
     byz = random_placement(graph, num_byz, seed=seed + num_byz) if num_byz else set()
-    adversary = ValueFakingAdversary(mode=attack_mode) if num_byz else None
-    outcome = baseline_runner(graph, byzantine=byz, adversary=adversary, seed=seed)
+    run = run_protocol(
+        protocol,
+        graph,
+        byzantine=byz,
+        behaviour="value-faking" if num_byz else "silent",
+        behaviour_params={"mode": attack_mode} if num_byz else {},
+        seed=seed,
+    )
+    outcome = BaselineOutcome.of(name, run.outcome)
     return {
         "protocol": name,
         "n": n,
@@ -61,19 +62,18 @@ def _baseline_cell(*, name: str, n: int, degree: int, num_byz: int, seed: int) -
 @sweep_task("e7.algorithm2")
 def _algorithm2_cell(*, n: int, degree: int, num_byz: int, seed: int) -> dict:
     """Algorithm 2 under the beacon-flood attack for one Byzantine count."""
-    params = CongestParameters(d=degree)
     graph = hnd_random_regular_graph(n, degree, seed=seed)
     log_n = math.log(n)
     byz = random_placement(graph, num_byz, seed=seed + num_byz) if num_byz else set()
-    adversary = BeaconFloodAdversary(params) if num_byz else None
-    max_rounds = params.rounds_through_phase(int(math.ceil(log_n)) + 1)
-    run = run_congest_counting(
+    run = run_protocol(
+        "congest",
         graph,
         byzantine=byz,
-        adversary=adversary,
-        params=params,
+        behaviour="beacon-flood" if num_byz else "silent",
+        behaviour_params={},
         seed=seed,
-        max_rounds=max_rounds,
+        d=degree,
+        max_rounds=CongestParameters(d=degree).rounds_through_phase(int(math.ceil(log_n)) + 1),
     )
     outcome = run.outcome
     median = outcome.median_estimate()

@@ -8,49 +8,29 @@ that seam with protocol families that have nothing to do with counting:
 * :mod:`repro.protocols.benor` -- BenOr-style randomized binary consensus
   (R1/R2 phases, majority thresholds, deterministic per-node coin streams);
 * :mod:`repro.protocols.grouped_bft` -- consistent-hash node grouping with
-  per-group OM(m)-style Byzantine agreement and cross-group aggregation;
-* :mod:`repro.protocols.baselines` -- run wrappers folding the four Section
-  1.2 baseline estimators into the same registry interface.
+  per-group OM(m)-style Byzantine agreement and cross-group aggregation.
 
-Every family ships a run wrapper returning a :class:`~repro.protocols.common.
-ZooRun` whose ``.outcome`` is an ordinary
-:class:`~repro.core.estimate.CountingOutcome`, so the generic scenario
-metrics extraction, suite reducers, and experiment tables work unchanged;
-protocol-specific metrics (agreement reached, decided-value distribution,
-phases-to-decide) ride along in ``.extra_metrics``.  Registration into the
-``PROTOCOLS`` registry happens in :mod:`repro.scenarios.protocols`.
+The package holds the protocol classes and their spec-time envelope checks
+only.  How each family runs -- its defaults, round budget, stop condition and
+consensus metrics (agreement reached, decided-value distribution,
+phases-to-decide) -- is its :class:`~repro.scenarios.protocols.ProtocolSpec`
+in :mod:`repro.scenarios.protocols`, next to the specs of the paper's
+algorithms and of the Section 1.2 baselines; every registered protocol runs
+through :func:`repro.scenarios.execute.run_protocol`.
 """
 
-from repro.protocols.common import ZooRun, build_outcome, binary_decision_metrics
+from repro.protocols.common import binary_decision_metrics
 from repro.protocols.grouping import GroupAssignment, assign_groups, ring_hash
-from repro.protocols.benor import BenOrProtocol, run_benor, spec_validate_benor
-from repro.protocols.grouped_bft import (
-    GroupedBftProtocol,
-    run_grouped_bft,
-    spec_validate_grouped_bft,
-)
-from repro.protocols.baselines import (
-    run_flooding_protocol,
-    run_geometric_protocol,
-    run_spanning_tree_protocol,
-    run_support_estimation_protocol,
-)
+from repro.protocols.benor import BenOrProtocol, spec_validate_benor
+from repro.protocols.grouped_bft import GroupedBftProtocol, spec_validate_grouped_bft
 
 __all__ = [
-    "ZooRun",
-    "build_outcome",
     "binary_decision_metrics",
     "GroupAssignment",
     "assign_groups",
     "ring_hash",
     "BenOrProtocol",
-    "run_benor",
     "spec_validate_benor",
     "GroupedBftProtocol",
-    "run_grouped_bft",
     "spec_validate_grouped_bft",
-    "run_flooding_protocol",
-    "run_geometric_protocol",
-    "run_spanning_tree_protocol",
-    "run_support_estimation_protocol",
 ]

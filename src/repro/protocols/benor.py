@@ -27,20 +27,13 @@ the serial, pool, and distributed backends.
 
 from __future__ import annotations
 
-import math
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Set
+from typing import Any, Dict, List, Mapping, Optional
 
-from repro.graphs.graph import Graph
-from repro.protocols.common import ZooRun, binary_decision_metrics, build_outcome
-from repro.simulator.byzantine import Adversary
-from repro.simulator.churn import ChurnSchedule
-from repro.simulator.engine import SynchronousEngine
 from repro.simulator.messages import Message
-from repro.simulator.network import Network
 from repro.simulator.node import NodeContext, Outbox, Protocol, broadcast
 from repro.simulator.rng import coin_stream
 
-__all__ = ["BenOrProtocol", "run_benor", "spec_validate_benor"]
+__all__ = ["BenOrProtocol", "spec_validate_benor"]
 
 _R1 = "R1"
 _R2 = "R2"
@@ -91,8 +84,8 @@ class BenOrProtocol(Protocol):
     @property
     def halted(self) -> bool:
         # A decided node keeps echoing its value so undecided neighbors can
-        # still reach their thresholds; the run wrapper's stop condition ends
-        # the run once every honest node has decided.
+        # still reach their thresholds; the registered spec's stop condition
+        # ends the run once every honest node has decided.
         return False
 
     # ------------------------------------------------------------------ #
@@ -189,64 +182,3 @@ def spec_validate_benor(params: Mapping[str, Any], n: Optional[int]) -> None:
         raise ValueError(
             f"initial: must be 'coin', 'id-parity', 0, or 1, got {initial!r}"
         )
-
-
-def run_benor(
-    graph: Graph,
-    *,
-    byzantine: Iterable[int] = (),
-    adversary: Optional[Adversary] = None,
-    seed: int = 0,
-    f: int = 1,
-    initial: Any = "coin",
-    max_phases: Optional[int] = None,
-    max_rounds: Optional[int] = None,
-    evaluation_set: Optional[Set[int]] = None,
-    churn: Optional[ChurnSchedule] = None,
-) -> ZooRun:
-    """Execute BenOr-style consensus on ``graph`` and summarize the outcome.
-
-    ``max_phases`` defaults to ``6·ceil(log2 n) + 16`` -- far beyond the
-    expected constant number of phases on benign runs, so undecided nodes at
-    the budget indicate genuine (adversarial or topological) divergence.
-    """
-    network = Network(graph=graph, byzantine=frozenset(byzantine))
-    if max_phases is None:
-        max_phases = 6 * int(math.ceil(math.log2(max(graph.n, 2)))) + 16
-    if max_rounds is None:
-        max_rounds = 2 * max_phases + 2
-
-    effective_phases = max_phases
-
-    def factory(ctx: NodeContext) -> Protocol:
-        return BenOrProtocol(
-            ctx, f=f, initial=initial, max_phases=effective_phases, seed=seed
-        )
-
-    engine = SynchronousEngine(
-        network,
-        factory,
-        adversary=adversary,
-        seed=seed,
-        max_rounds=max_rounds,
-        stop_condition=lambda protocols, _round: all(
-            p.decided for p in protocols.values()
-        ),
-        churn=churn,
-    )
-    result = engine.run()
-    outcome = build_outcome(graph, result, evaluation_set=evaluation_set)
-    decided_phases = [
-        p.decided_phase
-        for p in result.protocols.values()
-        if isinstance(p, BenOrProtocol) and p.decided_phase is not None
-    ]
-    extra = binary_decision_metrics(outcome)
-    extra["phases_to_decide"] = max(decided_phases) if decided_phases else None
-    params: Dict[str, Any] = {
-        "f": f,
-        "initial": initial,
-        "max_phases": max_phases,
-        "max_rounds": max_rounds,
-    }
-    return ZooRun(result=result, params=params, outcome=outcome, extra_metrics=extra)

@@ -27,29 +27,22 @@ input value, and then aggregating the per-group results network-wide:
 All nodes decide simultaneously at the fixed final round, so the run length
 is deterministic: ``(m + 2)·hops + 1`` rounds.
 
-The membership map is computed from the graph's node-id universe by the run
-wrapper and handed to every instance -- the standard "known membership"
-assumption of committee-based BFT, and the one real global input this family
-needs beyond the paper's model.
+The membership map is computed from the graph's node-id universe once per
+run (by the registered spec's node factory) and handed to every instance --
+the standard "known membership" assumption of committee-based BFT, and the
+one real global input this family needs beyond the paper's model.
 """
 
 from __future__ import annotations
 
-import math
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
-from repro.graphs.graph import Graph
-from repro.protocols.common import ZooRun, binary_decision_metrics, build_outcome
-from repro.protocols.grouping import GroupAssignment, assign_groups
-from repro.simulator.byzantine import Adversary
-from repro.simulator.churn import ChurnSchedule
-from repro.simulator.engine import SynchronousEngine
+from repro.protocols.grouping import GroupAssignment
 from repro.simulator.messages import Message
-from repro.simulator.network import Network
 from repro.simulator.node import NodeContext, Outbox, Protocol, broadcast
 from repro.simulator.rng import coin_stream
 
-__all__ = ["GroupedBftProtocol", "run_grouped_bft", "spec_validate_grouped_bft"]
+__all__ = ["GroupedBftProtocol", "spec_validate_grouped_bft"]
 
 
 def _om_message(group: int, path: Tuple[int, ...], value: int) -> Message:
@@ -271,79 +264,3 @@ def spec_validate_grouped_bft(params: Mapping[str, Any], n: Optional[int]) -> No
         raise ValueError(
             f"initial: must be 'coin', 'id-parity', 0, or 1, got {initial!r}"
         )
-
-
-def run_grouped_bft(
-    graph: Graph,
-    *,
-    byzantine: Iterable[int] = (),
-    adversary: Optional[Adversary] = None,
-    seed: int = 0,
-    f: int = 1,
-    groups: Optional[int] = None,
-    hops: Optional[int] = None,
-    initial: Any = "coin",
-    max_rounds: Optional[int] = None,
-    evaluation_set: Optional[Set[int]] = None,
-    churn: Optional[ChurnSchedule] = None,
-) -> ZooRun:
-    """Execute grouped OM(f) agreement on ``graph`` and summarize the outcome.
-
-    ``groups`` defaults to ``max(1, n // (4·(3f + 1)))`` -- expected group
-    sizes comfortably above the ``3f + 1`` OM envelope.  ``hops`` (the
-    per-cascade-level flood budget) defaults to 1 on complete graphs and
-    ``ceil(log2 n) + 2`` otherwise, an upper bound on the diameter of every
-    expander family shipped in :mod:`repro.graphs`.
-    """
-    if graph.n <= 3 * f:
-        raise ValueError(
-            f"grouped-bft needs n > 3f (n={graph.n}, f={f})"
-        )
-    if groups is None:
-        groups = max(1, graph.n // (4 * (3 * f + 1)))
-    if hops is None:
-        complete = all(len(graph.adjacency[u]) == graph.n - 1 for u in range(graph.n))
-        hops = 1 if complete else int(math.ceil(math.log2(max(graph.n, 2)))) + 2
-    assignment = assign_groups(graph.node_ids, groups)
-    decide_round = (f + 2) * hops + 1
-    if max_rounds is None:
-        max_rounds = decide_round + 2
-
-    def factory(ctx: NodeContext) -> Protocol:
-        return GroupedBftProtocol(
-            ctx,
-            assignment=assignment,
-            f=f,
-            hops=hops,
-            initial=initial,
-            seed=seed,
-        )
-
-    network = Network(graph=graph, byzantine=frozenset(byzantine))
-    engine = SynchronousEngine(
-        network,
-        factory,
-        adversary=adversary,
-        seed=seed,
-        max_rounds=max_rounds,
-        churn=churn,
-    )
-    result = engine.run()
-    outcome = build_outcome(graph, result, evaluation_set=evaluation_set)
-    sizes = [len(ids) for ids in assignment.members if ids]
-    extra = binary_decision_metrics(outcome)
-    extra.update(
-        {
-            "groups": len(sizes),
-            "min_group_size": min(sizes) if sizes else 0,
-            "max_group_size": max(sizes) if sizes else 0,
-        }
-    )
-    params: Dict[str, Any] = {
-        "f": f,
-        "groups": groups,
-        "hops": hops,
-        "initial": initial,
-        "max_rounds": max_rounds,
-    }
-    return ZooRun(result=result, params=params, outcome=outcome, extra_metrics=extra)

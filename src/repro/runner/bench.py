@@ -749,7 +749,10 @@ def compare_reports(
     - ``ok``          within ±threshold of the previous wall-clock
     - ``faster``      improved by more than the threshold
     - ``regression``  slower by more than the threshold (a failure)
-    - ``result-drift`` rounds/messages changed (a failure: determinism broke)
+    - ``result-drift`` a result key of the previous report changed value or
+      disappeared (a failure: determinism broke)
+    - ``new-metric``  the result only gained keys the previous report lacks
+      (e.g. metrics added since it was written); a regression still wins
     - ``new``         scenario absent from the previous report
     """
     previous_by_name = {row["name"]: row for row in previous.get("scenarios", [])}
@@ -769,10 +772,17 @@ def compare_reports(
             )
             continue
         ratio = row["wall_clock_s"] / prev["wall_clock_s"] if prev["wall_clock_s"] else None
-        if prev.get("result") != row.get("result"):
+        previous_result = prev.get("result") or {}
+        result = row.get("result") or {}
+        if any(
+            key not in result or result[key] != value
+            for key, value in previous_result.items()
+        ):
             status = "result-drift"
         elif ratio is not None and ratio > 1.0 + threshold:
             status = "regression"
+        elif result.keys() - previous_result.keys():
+            status = "new-metric"
         elif ratio is not None and ratio < 1.0 - threshold:
             status = "faster"
         else:

@@ -16,7 +16,10 @@ that sentence executable data:
   sweep runner and artifact cache unchanged.
 * :mod:`repro.scenarios.suite` -- :class:`ScenarioSuite`: scenarios plus a
   declarative table, regenerating an experiment's table from a JSON file.
-* :mod:`repro.scenarios.execute` -- the generic ``scenario.run`` sweep task.
+* :mod:`repro.scenarios.protocols` -- one :class:`ProtocolSpec` per
+  registered protocol.
+* :mod:`repro.scenarios.execute` -- the one run path (:func:`run_protocol`)
+  and the generic ``scenario.run`` sweep task.
 
 See SCENARIOS.md for the spec schema and the registry extension recipe.
 """
@@ -36,10 +39,17 @@ from repro.scenarios.graphs import build_graph
 from repro.scenarios.behaviours import make_adversary
 from repro.scenarios.churn import build_churn
 from repro.scenarios.placements import place_byzantine
-from repro.scenarios.protocols import run_protocol
+from repro.scenarios.protocols import ProtocolSpec
 from repro.scenarios.spec import SCENARIO_TASK, ComponentSpec, Scenario
 from repro.scenarios.suite import ScenarioSuite, SuiteRow
-from repro.scenarios.execute import MaterializedCell, execute_cell, materialize
+from repro.scenarios.execute import (
+    MaterializedCell,
+    ProtocolRun,
+    execute_cell,
+    materialize,
+    run_protocol,
+    run_spec,
+)
 
 __all__ = [
     "ADVERSARIES",
@@ -47,6 +57,8 @@ __all__ = [
     "GRAPHS",
     "PLACEMENTS",
     "PROTOCOLS",
+    "ProtocolRun",
+    "ProtocolSpec",
     "ComponentRegistry",
     "ComponentSpec",
     "MaterializedCell",
@@ -64,4 +76,5 @@ __all__ = [
     "materialize",
     "place_byzantine",
     "run_protocol",
+    "run_spec",
 ]

@@ -1,9 +1,16 @@
-"""Generic scenario execution: the ``scenario.run`` sweep task.
+"""Generic scenario execution: the one run path and the ``scenario.run`` task.
+
+Every protocol run is built here.  :func:`run_protocol` runs a registered
+protocol by name: it resolves the params of its
+:class:`~repro.scenarios.protocols.ProtocolSpec` and builds the adversary
+behaviour with them.  :func:`run_spec` then builds the network and the engine
+-- the one engine-construction site -- and summarizes the run into one
+:class:`ProtocolRun`.  ``run_local_counting`` and ``run_congest_counting``
+call :func:`run_spec` directly with an adversary object.
 
 One cell = one (scenario, seed) pair.  Execution materializes the scenario
 through the registries -- build the graph, place the Byzantine nodes,
-construct the evaluation set, run the protocol (which also constructs the
-adversary behaviour from the protocol's parameters) -- and then extracts a
+construct the evaluation set, run the protocol -- and then extracts a
 *uniform metrics dict* from the outcome.  Drivers aggregate those metrics
 into their tables; because every metric is computed with the same
 ``CountingOutcome`` calls the historical per-driver trial functions used,
@@ -14,21 +21,37 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Optional, Set, Union
+from dataclasses import dataclass, field
+from typing import Any, Dict, Iterable, Mapping, Optional, Set, Union
 
 from repro.analysis.accuracy import corollary1_check, theorem1_check, theorem2_check
+from repro.core.estimate import CountingOutcome, DecisionRecord
 from repro.graphs.expansion import good_set
 from repro.graphs.graph import Graph
 from repro.graphs.neighborhoods import ball_of_set
 from repro.runner.registry import sweep_task
+from repro.scenarios.behaviours import make_adversary
 from repro.scenarios.churn import build_churn
 from repro.scenarios.graphs import build_graph
 from repro.scenarios.placements import place_byzantine
-from repro.scenarios.protocols import run_protocol
+from repro.scenarios.protocols import ProtocolSpec
+from repro.scenarios.registry import PROTOCOLS
 from repro.scenarios.spec import SCENARIO_TASK, Scenario
+from repro.simulator.byzantine import Adversary
+from repro.simulator.churn import ChurnSchedule
+from repro.simulator.engine import RunResult, SynchronousEngine
+from repro.simulator.network import Network
 
-__all__ = ["MaterializedCell", "materialize", "execute_cell", "DEFAULT_BAND"]
+__all__ = [
+    "MaterializedCell",
+    "ProtocolRun",
+    "build_outcome",
+    "materialize",
+    "execute_cell",
+    "run_protocol",
+    "run_spec",
+    "DEFAULT_BAND",
+]
 
 #: Definition 2's constant-factor band used across the experiments.
 DEFAULT_BAND = (0.35, 1.6)
@@ -41,6 +64,121 @@ _CHECKS = {
 
 
 @dataclass
+class ProtocolRun:
+    """One protocol run: the engine result, the resolved params, the standard
+    :class:`CountingOutcome`, and protocol-specific metrics.
+
+    For the binary-consensus families the "estimate" is the decided value
+    (0.0 or 1.0), so the band metrics are not meaningful for them, but
+    decision fractions, rounds, and communication volume are computed by
+    exactly the same code as for the paper's protocols.
+    """
+
+    result: RunResult
+    params: Any
+    outcome: CountingOutcome
+    #: Merged into the uniform metrics dict after its own keys.
+    extra_metrics: Dict[str, Any] = field(default_factory=dict)
+
+
+def build_outcome(
+    graph: Graph, result: RunResult, evaluation_set: Optional[Set[int]] = None
+) -> CountingOutcome:
+    """Summarize an engine run: one :class:`DecisionRecord` per honest node,
+    plus the run's round and communication totals."""
+    records = {
+        u: DecisionRecord(
+            node=u,
+            decided=protocol.decided,
+            estimate=protocol.estimate,
+            decision_round=protocol.decision_round,
+        )
+        for u, protocol in result.protocols.items()
+    }
+    return CountingOutcome(
+        n=graph.n,
+        records=records,
+        evaluation_set=set(evaluation_set) if evaluation_set is not None else set(),
+        rounds_executed=result.rounds_executed,
+        total_messages=result.metrics.total_messages,
+        total_bits=result.metrics.total_bits,
+        small_message_fraction=result.metrics.small_message_fraction(
+            graph.n, list(result.protocols.keys())
+        ),
+    )
+
+
+def run_protocol(
+    name: str,
+    graph: Graph,
+    *,
+    byzantine: Set[int],
+    behaviour: str,
+    behaviour_params: Mapping[str, Any],
+    seed: int,
+    evaluation_set: Optional[Set[int]] = None,
+    churn: Optional[ChurnSchedule] = None,
+    **params: Any,
+) -> ProtocolRun:
+    """Run the registered protocol ``name`` on ``graph``.
+
+    ``params`` are a scenario's protocol params.  The run options
+    (``max_rounds``, the stop condition's keywords) go to the engine; the
+    rest resolve into the run's params, with which the adversary behaviour
+    is built (scheduled Algorithm 2 attacks read their round schedule from
+    them).
+    """
+    spec = PROTOCOLS.get(name).fn
+    options = {key: params.pop(key) for key, _ in spec.options() if key in params}
+    resolved = spec.resolve(graph, params)
+    adversary = make_adversary(behaviour, resolved, **behaviour_params)
+    return run_spec(
+        spec,
+        graph,
+        resolved,
+        byzantine=byzantine,
+        adversary=adversary,
+        seed=seed,
+        evaluation_set=evaluation_set,
+        churn=churn,
+        **options,
+    )
+
+
+def run_spec(
+    spec: ProtocolSpec,
+    graph: Graph,
+    params: Any = None,
+    *,
+    byzantine: Iterable[int] = (),
+    adversary: Optional[Adversary] = None,
+    seed: int = 0,
+    evaluation_set: Optional[Set[int]] = None,
+    churn: Optional[ChurnSchedule] = None,
+    max_rounds: Optional[int] = None,
+    **stop_options: Any,
+) -> ProtocolRun:
+    """Execute ``spec`` with resolved ``params`` (default: resolved from none)
+    under ``adversary`` (default: silence) and summarize the run."""
+    if params is None:
+        params = spec.resolve(graph, {})
+    engine = SynchronousEngine(
+        Network(graph=graph, byzantine=frozenset(byzantine)),
+        spec.factory(graph, params, seed=seed, churn=churn),
+        adversary=adversary,
+        seed=seed,
+        max_rounds=spec.budget(graph, params) if max_rounds is None else max_rounds,
+        churn=churn,
+    )
+    if spec.stop is not None:
+        engine.stop_condition = spec.stop(engine, **stop_options)
+    result = engine.run()
+    outcome = build_outcome(graph, result, evaluation_set)
+    extra = spec.extra_metrics(result, outcome) if spec.extra_metrics else {}
+    return ProtocolRun(result=result, params=params, outcome=outcome, extra_metrics=extra)
+
+
+@dataclass
 class MaterializedCell:
     """Everything one scenario cell produced (for callers needing more than
     the metrics dict, e.g. the CLI ``run`` command printing histograms)."""
@@ -50,7 +188,7 @@ class MaterializedCell:
     graph: Graph
     byzantine: Set[int]
     evaluation_set: Optional[Set[int]]
-    run: Any
+    run: ProtocolRun
     metrics: Dict[str, Any]
 
 
@@ -116,12 +254,8 @@ def _collect_metrics(cell: MaterializedCell) -> Dict[str, Any]:
     modal_value, modal_count = (
         histogram.most_common(1)[0] if histogram else (None, 0)
     )
-    result_metrics = getattr(getattr(run, "result", None), "metrics", None)
-    quiescent = (
-        result_metrics.messages_per_round[-1] == 0
-        if result_metrics is not None and result_metrics.messages_per_round
-        else False
-    )
+    messages_per_round = run.result.metrics.messages_per_round
+    quiescent = bool(messages_per_round) and messages_per_round[-1] == 0
     min_estimate, max_estimate = outcome.estimate_range()
     round_budget = scenario.protocol.params.get("max_rounds")
 
@@ -159,33 +293,29 @@ def _collect_metrics(cell: MaterializedCell) -> Dict[str, Any]:
         ),
         **_churn_metrics(cell),
     }
-    # Protocol-specific metrics (protocol-zoo run wrappers expose an
-    # ``extra_metrics`` dict: agreement rates, decided-value distributions,
-    # phases-to-decide, group sizes).  Merged *after* the uniform keys so zoo
-    # columns flow through the suite reducers like any other metric; the
-    # paper protocols have no such attribute and their metrics dicts -- and
-    # hence every existing golden table -- are byte-identical.
-    extra = getattr(run, "extra_metrics", None)
-    if extra:
-        metrics.update(extra)
+    # Protocol-specific metrics (agreement rates, decided-value
+    # distributions, phases-to-decide, group sizes) are merged *after* the
+    # uniform keys, so zoo columns flow through the suite reducers like any
+    # other metric; the paper protocols add none.
+    metrics.update(run.extra_metrics)
     return metrics
 
 
 def _churn_metrics(cell: MaterializedCell) -> Dict[str, Any]:
     """Dynamic-topology metrics (present for every cell; None-valued when the
     run had no churn, so static tables and reducers are unaffected)."""
-    result = getattr(cell.run, "result", None)
-    metrics = getattr(result, "metrics", None)
-    last_churn = getattr(metrics, "last_churn_round", None)
+    result = cell.run.result
+    metrics = result.metrics
+    last_churn = metrics.last_churn_round
     outcome = cell.run.outcome
     if last_churn is None:
         return {
-            "churn_events": getattr(metrics, "churn_events", 0),
+            "churn_events": metrics.churn_events,
             "rounds_to_reconverge": None,
             "stale_estimate_error": None,
         }
 
-    departed = getattr(result, "departed", frozenset())
+    departed = result.departed
     # Rounds the network needed after the last delta before going quiet: the
     # final executed round only re-confirms quiescence, hence the -1.
     reconverge = max(0, (outcome.rounds_executed - 1) - last_churn)

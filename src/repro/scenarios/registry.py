@@ -78,19 +78,23 @@ class ComponentRegistry:
         """Decorator registering a constructor under ``name``."""
 
         def decorate(fn: Callable[..., Any]) -> Callable[..., Any]:
-            existing = self._entries.get(name)
-            if existing is not None and existing.fn is not fn:
-                raise ValueError(f"{self.kind} {name!r} registered twice")
             description = (fn.__doc__ or "").strip().splitlines()
-            self._entries[name] = RegistryEntry(
-                name=name,
-                fn=fn,
-                description=description[0] if description else "",
-                tags=dict(tags),
+            return self.add(
+                name, fn, description=description[0] if description else "", **tags
             )
-            return fn
 
         return decorate
+
+    def add(self, name: str, component: Any, *, description: str = "", **tags: Any) -> Any:
+        """Register ``component`` (a constructor or, for protocols, a
+        :class:`~repro.scenarios.protocols.ProtocolSpec`) under ``name``."""
+        existing = self._entries.get(name)
+        if existing is not None and existing.fn is not component:
+            raise ValueError(f"{self.kind} {name!r} registered twice")
+        self._entries[name] = RegistryEntry(
+            name=name, fn=component, description=description, tags=dict(tags)
+        )
+        return component
 
     def get(self, name: str) -> RegistryEntry:
         """The entry registered under ``name`` (raises with the valid names)."""

@@ -190,8 +190,8 @@ class Scenario:
         against the graph size (when the graph spec carries ``n``), with the
         offending spec path in the error -- mirroring the compile-time
         non-finite rejection.  Protocol params are checked against the
-        registry entry's declared parameter surface and envelope validator
-        (see :mod:`repro.scenarios.protocols`), so an unknown or
+        protocol's :class:`~repro.scenarios.protocols.ProtocolSpec` (see
+        :mod:`repro.scenarios.protocols`), so an unknown, mistyped or
         out-of-envelope protocol param fails at compile time with its
         ``scenario.protocol.params.<key>`` path instead of mid-run.
         """
@@ -226,42 +226,37 @@ class Scenario:
                     )
 
     def _validate_protocol_params(self) -> None:
-        """Reject unknown or out-of-envelope protocol params at compile time.
+        """Reject unknown, missing, mistyped or out-of-envelope protocol
+        params at compile time, each with its ``scenario.protocol.params.<key>``
+        path.
 
-        A protocol entry's parameter surface is declared by its registry
-        ``params`` tag (``{"required": (...), "optional": (...)}``); entries
-        may additionally carry a ``validate`` tag -- a callable
-        ``(params, n) -> None`` raising ``ValueError`` whose message starts
-        with the offending parameter name (e.g. the ``grouped-bft``
-        ``n > 3f`` honest envelope).  Entries without a ``params`` tag skip
-        the check entirely, so third-party registrations opt in rather than
-        break.
+        The surface and the checks come from the protocol's
+        :class:`~repro.scenarios.protocols.ProtocolSpec`: its derived
+        parameter surface, then :meth:`~repro.scenarios.protocols.ProtocolSpec.check`
+        -- the params dataclass built from the given values, the envelope
+        validator (e.g. the ``grouped-bft`` ``n > 3f`` honest envelope).
         """
-        entry = PROTOCOLS.get(self.protocol.name)
-        surface = entry.tags.get("params")
-        if surface is not None:
-            required = tuple(surface.get("required", ()))
-            known = set(required) | set(surface.get("optional", ()))
-            for key in self.protocol.params:
-                if key not in known:
-                    raise ValueError(
-                        f"scenario.protocol.params.{key}: unknown parameter of "
-                        f"protocol {self.protocol.name!r}; known params: "
-                        f"{sorted(known)}"
-                    )
-            for key in required:
-                if key not in self.protocol.params:
-                    raise ValueError(
-                        f"scenario.protocol.params.{key}: required by "
-                        f"protocol {self.protocol.name!r} but missing"
-                    )
-        validator = entry.tags.get("validate")
-        if validator is not None:
-            n = self.graph.params.get("n")
-            try:
-                validator(self.protocol.params, n if isinstance(n, int) else None)
-            except ValueError as exc:
-                raise ValueError(f"scenario.protocol.params.{exc}") from None
+        spec = PROTOCOLS.get(self.protocol.name).fn
+        required, optional = spec.surface()
+        known = set(required) | set(optional)
+        for key in self.protocol.params:
+            if key not in known:
+                raise ValueError(
+                    f"scenario.protocol.params.{key}: unknown parameter of "
+                    f"protocol {self.protocol.name!r}; known params: "
+                    f"{sorted(known)}"
+                )
+        for key in required:
+            if key not in self.protocol.params:
+                raise ValueError(
+                    f"scenario.protocol.params.{key}: required by "
+                    f"protocol {self.protocol.name!r} but missing"
+                )
+        n = self.graph.params.get("n")
+        try:
+            spec.check(self.protocol.params, n if isinstance(n, int) else None)
+        except (ValueError, TypeError) as exc:
+            raise type(exc)(f"scenario.protocol.params.{exc}") from None
 
     def compile(self) -> List[SweepConfig]:
         """One ``scenario.run`` sweep config per seed (validated).

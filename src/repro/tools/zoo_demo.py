@@ -117,39 +117,33 @@ def _run_suite(spec_path: Path):
     return suite.run()
 
 
+def _matches(label: str, rendered: str, golden_name: str) -> bool:
+    """Compare ``rendered`` with a golden byte for byte, reporting either way."""
+    expected = (GOLDEN / golden_name).read_text(encoding="utf-8")
+    if rendered != expected:
+        sys.stderr.write(
+            f"zoo-demo FAIL: {label} no longer regenerates {golden_name} "
+            "byte-for-byte\n"
+        )
+        sys.stderr.write("--- expected ---\n" + expected)
+        sys.stderr.write("--- got ---\n" + rendered)
+        return False
+    print(f"zoo-demo: {label} == {golden_name} (byte-identical)")
+    return True
+
+
 def main() -> int:
     zoo_result = None
     for spec_name, golden_name in GATES:
-        spec_path = EXAMPLES / spec_name
-        golden_path = GOLDEN / golden_name
-        result = _run_suite(spec_path)
+        result = _run_suite(EXAMPLES / spec_name)
         if spec_name.startswith("scenario_zoo"):
             zoo_result = result
         # ``scenario run`` prints ``result.render()`` followed by a newline;
         # the goldens are captured CLI stdout, so compare against exactly that.
-        rendered = result.render() + "\n"
-        expected = golden_path.read_text(encoding="utf-8")
-        if rendered != expected:
-            sys.stderr.write(
-                f"zoo-demo FAIL: {spec_name} no longer regenerates "
-                f"{golden_name} byte-for-byte\n"
-            )
-            sys.stderr.write("--- expected ---\n" + expected)
-            sys.stderr.write("--- got ---\n" + rendered)
+        if not _matches(spec_name, result.render() + "\n", golden_name):
             return 1
-        print(f"zoo-demo: {spec_name} == {golden_name} (byte-identical)")
-
-    rendered = render_registry_metrics()
-    expected = (GOLDEN / REGISTRY_GOLDEN).read_text(encoding="utf-8")
-    if rendered != expected:
-        sys.stderr.write(
-            f"zoo-demo FAIL: the registered protocols' mini cells no longer "
-            f"regenerate {REGISTRY_GOLDEN} byte-for-byte\n"
-        )
-        sys.stderr.write("--- expected ---\n" + expected)
-        sys.stderr.write("--- got ---\n" + rendered)
+    if not _matches("registry mini cells", render_registry_metrics(), REGISTRY_GOLDEN):
         return 1
-    print(f"zoo-demo: registry mini cells == {REGISTRY_GOLDEN} (byte-identical)")
 
     if zoo_result is not None:
         print()

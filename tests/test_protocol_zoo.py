@@ -20,15 +20,10 @@ import pytest
 
 from repro.cli import main
 from repro.graphs import complete_graph, hnd_random_regular_graph
-from repro.protocols import (
-    assign_groups,
-    ring_hash,
-    run_benor,
-    run_grouped_bft,
-)
+from repro.protocols import assign_groups, ring_hash
 from repro.runner.distributed import DistributedBackend
 from repro.runner.sweep import SweepRunner
-from repro.scenarios import PROTOCOLS, Scenario, materialize
+from repro.scenarios import PROTOCOLS, Scenario, materialize, run_protocol
 from repro.tools.zoo_demo import (
     MINI_PARAMS,
     REGISTRY_GOLDEN,
@@ -38,6 +33,19 @@ from repro.tools.zoo_demo import (
 
 EXAMPLES = Path(__file__).parent.parent / "examples"
 GOLDEN = Path(__file__).parent / "golden"
+
+
+def run_benign(name, graph, *, byzantine=(), seed=0, **params):
+    """Run the registered protocol ``name`` with silent Byzantine nodes."""
+    return run_protocol(
+        name,
+        graph,
+        byzantine=set(byzantine),
+        behaviour="silent",
+        behaviour_params={},
+        seed=seed,
+        **params,
+    )
 
 
 class TestGrouping:
@@ -93,9 +101,27 @@ class TestSpecTimeValidation:
         with pytest.raises(ValueError, match=r"scenario\.protocol\.params\.groups"):
             self._validate("grouped-bft", {"f": 1, "groups": 9}, n=16)
 
+    def test_congest_params_dataclass_built_at_spec_time(self):
+        with pytest.raises(ValueError, match=r"scenario\.protocol\.params\.d: d must be"):
+            self._validate("congest", {"d": 0})
+
+    def test_local_param_type_named(self):
+        with pytest.raises(TypeError, match=r"scenario\.protocol\.params\.gamma"):
+            self._validate("local", {"gamma": "x"})
+
+    def test_baseline_budget_must_be_positive(self):
+        with pytest.raises(ValueError, match=r"scenario\.protocol\.params\.phase_rounds"):
+            self._validate("flooding", {"phase_rounds": -3})
+
+    def test_support_estimation_k_must_be_positive(self):
+        with pytest.raises(ValueError, match=r"scenario\.protocol\.params\.k"):
+            self._validate("support-estimation", {"k": 0})
+
     def test_valid_params_pass(self):
         self._validate("benor", {"f": 3}, n=16)
         self._validate("grouped-bft", {"f": 1, "groups": 2}, n=16)
+        self._validate("congest", {"d": 4, "gamma": 0.5, "max_rounds": 0})
+        self._validate("support-estimation", {"k": 2, "rounds_budget": 1})
 
     def test_validation_runs_before_materialization(self):
         with pytest.raises(ValueError, match=r"scenario\.protocol\.params\."):
@@ -152,22 +178,22 @@ class TestBenOr:
         budget, on every seed, and all decisions agree."""
         graph = complete_graph(12)
         for seed in range(6):
-            run = run_benor(graph, byzantine=set(), seed=seed, f=1)
+            run = run_benign("benor", graph, seed=seed, f=1)
             outcome = run.outcome
             assert outcome.decided_fraction() == 1.0, f"seed {seed}"
             assert run.extra_metrics["agreement_reached"] == 1.0, f"seed {seed}"
-            assert run.result.rounds_executed <= run.params["max_rounds"]
+            assert run.result.rounds_executed <= 2 * run.params["max_phases"] + 2
 
     def test_deciders_agree_under_silent_byzantine(self):
         graph = complete_graph(16)
-        run = run_benor(graph, byzantine={0, 1}, seed=5, f=2)
+        run = run_benign("benor", graph, byzantine={0, 1}, seed=5, f=2)
         assert run.extra_metrics["agreement_reached"] == 1.0
 
 
 class TestGroupedBft:
     def test_all_honest_nodes_agree(self):
         graph = hnd_random_regular_graph(32, 6, seed=9)
-        run = run_grouped_bft(graph, byzantine={0}, seed=2, f=1, groups=2)
+        run = run_benign("grouped-bft", graph, byzantine={0}, seed=2, f=1, groups=2)
         outcome = run.outcome
         assert outcome.decided_fraction() == 1.0
         assert run.extra_metrics["agreement_reached"] == 1.0
