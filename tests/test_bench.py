@@ -130,32 +130,26 @@ class TestCompareReports:
         assert rows[0]["status"] == "result-drift"
         assert bench.comparison_failed(rows)
 
-    def test_added_result_key_is_new_metric_not_a_failure(self):
-        previous = _report([_row("a", 1.0, result={"rounds": 5})])
-        current = _report([_row("a", 1.0, result={"rounds": 5, "churn_events": 0})])
-        rows = bench.compare_reports(current, previous)
-        assert rows[0]["status"] == "new-metric"
-        assert not bench.comparison_failed(rows)
-
-    def test_missing_result_key_is_result_drift(self):
-        previous = _report([_row("a", 1.0, result={"rounds": 5, "messages": 10})])
-        current = _report([_row("a", 1.0, result={"rounds": 5})])
-        rows = bench.compare_reports(current, previous)
-        assert rows[0]["status"] == "result-drift"
-        assert bench.comparison_failed(rows)
-
-    def test_changed_value_beside_added_key_is_result_drift(self):
-        previous = _report([_row("a", 1.0, result={"rounds": 5})])
-        current = _report([_row("a", 1.0, result={"rounds": 6, "churn_events": 0})])
-        rows = bench.compare_reports(current, previous)
-        assert rows[0]["status"] == "result-drift"
-
-    def test_regression_wins_over_new_metric(self):
-        previous = _report([_row("a", 1.0, result={"rounds": 5})])
-        current = _report([_row("a", 1.5, result={"rounds": 5, "churn_events": 0})])
-        rows = bench.compare_reports(current, previous, threshold=0.10)
-        assert rows[0]["status"] == "regression"
-        assert bench.comparison_failed(rows)
+    @pytest.mark.parametrize(
+        "previous, current, wall, status",
+        [
+            # A key added since the previous report is not a failure ...
+            ({"rounds": 5}, {"rounds": 5, "churn_events": 0}, 1.0, "new-metric"),
+            # ... a missing key or a changed value is ...
+            ({"rounds": 5, "messages": 10}, {"rounds": 5}, 1.0, "result-drift"),
+            ({"rounds": 5}, {"rounds": 6, "churn_events": 0}, 1.0, "result-drift"),
+            # ... and a wall-clock regression wins over an added key.
+            ({"rounds": 5}, {"rounds": 5, "churn_events": 0}, 1.5, "regression"),
+        ],
+    )
+    def test_result_key_statuses(self, previous, current, wall, status):
+        rows = bench.compare_reports(
+            _report([_row("a", wall, result=current)]),
+            _report([_row("a", 1.0, result=previous)]),
+            threshold=0.10,
+        )
+        assert rows[0]["status"] == status
+        assert bench.comparison_failed(rows) == (status != "new-metric")
 
     def test_clean_comparison_passes(self):
         previous = _report([_row("a", 1.0)])

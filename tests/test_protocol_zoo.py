@@ -101,21 +101,20 @@ class TestSpecTimeValidation:
         with pytest.raises(ValueError, match=r"scenario\.protocol\.params\.groups"):
             self._validate("grouped-bft", {"f": 1, "groups": 9}, n=16)
 
-    def test_congest_params_dataclass_built_at_spec_time(self):
-        with pytest.raises(ValueError, match=r"scenario\.protocol\.params\.d: d must be"):
-            self._validate("congest", {"d": 0})
-
-    def test_local_param_type_named(self):
-        with pytest.raises(TypeError, match=r"scenario\.protocol\.params\.gamma"):
-            self._validate("local", {"gamma": "x"})
-
-    def test_baseline_budget_must_be_positive(self):
-        with pytest.raises(ValueError, match=r"scenario\.protocol\.params\.phase_rounds"):
-            self._validate("flooding", {"phase_rounds": -3})
-
-    def test_support_estimation_k_must_be_positive(self):
-        with pytest.raises(ValueError, match=r"scenario\.protocol\.params\.k"):
-            self._validate("support-estimation", {"k": 0})
+    @pytest.mark.parametrize(
+        "protocol, params, error, key",
+        [
+            ("congest", {"d": 0}, ValueError, "d"),
+            ("local", {"gamma": "x"}, TypeError, "gamma"),
+            ("flooding", {"phase_rounds": -3}, ValueError, "phase_rounds"),
+            ("support-estimation", {"k": 0}, ValueError, "k"),
+        ],
+    )
+    def test_bad_param_values_name_their_key(self, protocol, params, error, key):
+        """Values that otherwise crash mid-run or silently misrun (a 1-round
+        flood, an infinite support estimate) fail at spec time."""
+        with pytest.raises(error, match=rf"scenario\.protocol\.params\.{key}: "):
+            self._validate(protocol, params)
 
     def test_valid_params_pass(self):
         self._validate("benor", {"f": 3}, n=16)
